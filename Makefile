@@ -40,22 +40,29 @@ fmt:
 check:
 	./scripts/check.sh
 
-# trace-smoke runs a small instrumented Steiner solve and validates the
-# resulting JSONL event trace with ugtrace (the same gate CI applies).
+# trace-smoke runs a small instrumented Steiner solve and a small MISDP
+# racing solve and validates each JSONL event trace with ugtrace (the
+# same gate CI applies).
 trace-smoke:
 	go run ./cmd/ugsteiner -instance cc3-4p -workers 2 -racing -trace /tmp/ug-smoke.trace -stats
 	go run ./cmd/ugtrace -validate /tmp/ug-smoke.trace
 	go run ./cmd/ugtrace /tmp/ug-smoke.trace
+	go run ./cmd/ugmisdp -family mkp -workers 2 -trace /tmp/ug-smoke-misdp.trace
+	go run ./cmd/ugtrace -validate /tmp/ug-smoke-misdp.trace
 
 # net-smoke exercises the distributed path end to end: the coordinator
 # self-spawns two worker processes, solves a small STP instance over
 # loopback TCP (comm/net transport), leaving one Lamport-clocked trace
 # per process. Each per-rank trace must validate on its own, the merged
 # causal timeline must pass the cross-rank validator, and every analytics
-# view must render from it. Needs a built binary: self-spawn re-invokes
-# argv[0].
+# view must render from it. The MISDP run must reach the in-process
+# optimum, which checks that the self-spawner forwards the instance flags
+# (-family/-n/-k/-mode/-seed): workers built from other flags solve a
+# different instance and yield a wrong objective, not an error.
+# Needs built binaries: self-spawn re-invokes argv[0].
 net-smoke:
 	go build -o /tmp/ugsteiner-net ./cmd/ugsteiner
+	go build -o /tmp/ugmisdp-net ./cmd/ugmisdp
 	go build -o /tmp/ugtrace-net ./cmd/ugtrace
 	/tmp/ugsteiner-net -instance cc3-4p -net-procs 2 -trace /tmp/ug-net-smoke.trace -stats
 	/tmp/ugtrace-net -validate /tmp/ug-net-smoke.trace
@@ -64,6 +71,10 @@ net-smoke:
 	/tmp/ugtrace-net -merge -validate /tmp/ug-net-smoke.trace /tmp/ug-net-smoke.trace.rank1 /tmp/ug-net-smoke.trace.rank2
 	/tmp/ugtrace-net -merge -o /tmp/ug-net-smoke.merged /tmp/ug-net-smoke.trace /tmp/ug-net-smoke.trace.rank1 /tmp/ug-net-smoke.trace.rank2
 	/tmp/ugtrace-net -gantt -load -critpath -bounds /tmp/ug-net-smoke.merged
+	/tmp/ugmisdp-net -family mkp -net-procs 2 -trace /tmp/ug-net-smoke-misdp.trace > /tmp/ug-net-smoke-misdp.out
+	cat /tmp/ug-net-smoke-misdp.out
+	/tmp/ugtrace-net -merge -validate /tmp/ug-net-smoke-misdp.trace /tmp/ug-net-smoke-misdp.trace.rank1 /tmp/ug-net-smoke-misdp.trace.rank2
+	test "$$(/tmp/ugmisdp-net -family mkp -workers 2 | grep '^objective')" = "$$(grep '^objective' /tmp/ug-net-smoke-misdp.out)"
 
 # telemetry-smoke checks the whole live telemetry plane on a real solve
 # run with -pprof and -watchdog: /statusz, a 1-second CPU profile,

@@ -40,26 +40,11 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		switch *family {
-		case "hc":
-			if *terminals > 0 {
-				s = puc.HypercubeT(*d, *terminals, *perturbed, *seed)
-			} else {
-				s = puc.Hypercube(*d, *perturbed, *seed)
-			}
-		case "cc":
-			t := *terminals
-			if t == 0 {
-				t = 8
-			}
-			s = puc.CodeCover(*d, *a, t, *perturbed, *seed)
-		case "bip":
-			t := *terminals
-			if t == 0 {
-				t = 16
-			}
-			s = puc.Bipartite(t, *steinerN, *deg, *perturbed, *seed)
-		default:
+		s = puc.Generate(puc.Spec{
+			Family: *family, D: *d, A: *a, Terminals: *terminals, Steiner: *steinerN,
+			Deg: *deg, Perturbed: *perturbed, Seed: *seed,
+		})
+		if s == nil {
 			fmt.Fprintf(os.Stderr, "stpgen: unknown family %q\n", *family)
 			os.Exit(2)
 		}

@@ -2,9 +2,11 @@
 // scip-based solver — described as problem data, a ProblemDef, and a set
 // of plugin constructors — to the UG framework's SolverFactory, so that
 // the solver can be parallelized without touching either the solver or
-// UG. This mirrors the paper's ScipUserPlugins mechanism: the per-problem
-// registration files (internal/steiner/plugins.go and
-// internal/misdp/plugins.go) stay under 200 lines, matching the paper's
+// UG. This mirrors the paper's ScipUserPlugins mechanism. An
+// application's glue is its App registration (internal/steiner/app.go,
+// internal/misdp/app.go) plus the command that registers it with the
+// shared driver (cmd/ugsteiner, cmd/ugmisdp on internal/cli); together
+// they stay under 200 lines per application, matching the paper's
 // headline measurement for stp_plugins.cpp and misdp_plugins.cpp.
 package core
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -29,10 +28,11 @@ type NetRun struct {
 	// processes of its own executable on the local machine — the
 	// single-machine convenience mode. It overrides ug.Config.Workers.
 	Procs int
-	// WorkerArgs are the command-line arguments (instance selection,
-	// mode flags) passed to each self-spawned worker, before the
-	// -net-connect/-rank pair the spawner appends.
-	WorkerArgs []string
+	// WorkerArgs builds the command line of the rank-th self-spawned
+	// worker process, which must dial the coordinator at addr. The
+	// command-line driver derives it from its own flags, so this
+	// package spells none of them.
+	WorkerArgs func(rank int, addr string) []string
 	// Seed seeds the transport's retry jitter.
 	Seed int64
 	// Trace receives a worker's transport events (the coordinator's
@@ -41,11 +41,6 @@ type NetRun struct {
 	// Metrics receives a worker endpoint's transport counters (the
 	// coordinator's registry is taken from ug.Config.Metrics). May be nil.
 	Metrics *obs.Registry
-	// WorkerTraceBase, when non-empty, makes the self-spawning
-	// coordinator pass each worker `-trace <WorkerTraceBase>.rank<N>`,
-	// so a -net-procs run leaves one JSONL trace per process — the
-	// inputs `ugtrace -merge` joins into a global causal timeline.
-	WorkerTraceBase string
 	// Bus is this process's live telemetry bus (the tee sink its tracer
 	// writes through); the stall watchdog subscribes to it. May be nil,
 	// which disables the watchdog.
@@ -64,11 +59,6 @@ type NetRun struct {
 	// error returns all capture through it. (The coordinator's solve-path
 	// triggers run through ug.Config.Capture — pass the same capturer.)
 	Capture *obs.Capturer
-	// WorkerForensicsDir, when non-empty, makes the self-spawning
-	// coordinator pass each worker `-forensics <dir>`, so every process
-	// of a -net-procs run drops its bundles in one shared directory
-	// (bundle names embed the pid, so processes never collide).
-	WorkerForensicsDir string
 	// Fault is the test-only fault-injection plan for a worker's
 	// transport endpoint (nil disables injection); the smoke tests use
 	// it to stall a solve on purpose.
@@ -111,7 +101,7 @@ func RunNetWorker(app App, nr NetRun) (err error) {
 		}
 	}()
 	if !nr.Worker() {
-		return fmt.Errorf("core: RunNetWorker needs a -net-connect address")
+		return fmt.Errorf("core: RunNetWorker needs a coordinator address")
 	}
 	if nr.Rank < 1 {
 		return fmt.Errorf("core: worker rank must be >= 1, got %d", nr.Rank)
@@ -163,9 +153,6 @@ func RunNetWorker(app App, nr NetRun) (err error) {
 // coordinator), returning nil — a safe no-op for Stop — when nr does
 // not request one.
 func startWatchdog(nr NetRun, tr *obs.Tracer) *obs.Watchdog {
-	if nr.Watchdog <= 0 {
-		return nil
-	}
 	return obs.StartWatchdog(obs.WatchdogConfig{
 		Bus:      nr.Bus,
 		Tracer:   tr,
@@ -177,12 +164,11 @@ func startWatchdog(nr NetRun, tr *obs.Tracer) *obs.Watchdog {
 
 // SolveNetParallel is SolveParallel's distributed-coordinator variant:
 // it binds the rendezvous port, optionally self-spawns nr.Procs worker
-// processes (re-invoking this executable with nr.WorkerArgs plus
-// -net-connect/-rank), waits for the full roster, and runs the UG
-// coordination loop over the TCP transport. The transport inherits
-// cfg.Trace and cfg.Metrics, so comm.connect/heartbeat events and
-// transfer-byte counters land in the same trace/stats pipeline as the
-// in-process runs.
+// processes (re-invoking this executable with nr.WorkerArgs), waits
+// for the full roster, and runs the UG coordination loop over the TCP
+// transport. The transport inherits cfg.Trace and cfg.Metrics, so
+// comm.connect/heartbeat events and transfer-byte counters land in the
+// same trace/stats pipeline as the in-process runs.
 func SolveNetParallel(app App, cfg ug.Config, nr NetRun) (*ug.Result, *Factory, error) {
 	addr := nr.Listen
 	if addr == "" {
@@ -213,21 +199,7 @@ func SolveNetParallel(app App, cfg ug.Config, nr NetRun) (*ug.Result, *Factory, 
 			return nil, nil, fmt.Errorf("core: self-spawn: %w", err)
 		}
 		for rank := 1; rank <= nr.Procs; rank++ {
-			args := append([]string{}, nr.WorkerArgs...)
-			if nr.WorkerTraceBase != "" {
-				args = append(args, "-trace", fmt.Sprintf("%s.rank%d", nr.WorkerTraceBase, rank))
-			}
-			if nr.Watchdog > 0 {
-				// Each worker process arms its own watchdog over its own
-				// bus/trace, so a stall anywhere in the roster leaves a
-				// stall event and goroutine dump on that rank.
-				args = append(args, "-watchdog", nr.Watchdog.String())
-			}
-			if nr.WorkerForensicsDir != "" {
-				args = append(args, "-forensics", nr.WorkerForensicsDir)
-			}
-			args = append(args, "-net-connect", ln.Addr(), "-rank", strconv.Itoa(rank))
-			cmd := exec.Command(exe, args...)
+			cmd := exec.Command(exe, nr.WorkerArgs(rank, ln.Addr())...)
 			// Workers write nothing in normal operation; route what they
 			// do write (errors) to stderr so the coordinator's stdout
 			// stays machine-readable.

@@ -189,3 +189,30 @@ func MkPWeights(vertices int, seed int64) [][]float64 {
 	}
 	return w
 }
+
+// Family generates an instance of the named family (ttd, cls or mkp)
+// with size parameter n (bars, features or vertices) and cardinality k
+// (nonzeros or partition classes); zero takes the family default: 8
+// bars of a 4-dimensional truss, 6 features with 8 observations and 3
+// nonzeros, or 7 vertices in 3 classes. It returns nil for an unknown
+// family.
+func Family(name string, n, k int, seed int64) *misdp.MISDP {
+	switch name {
+	case "ttd":
+		return TTD(4, orDefault(n, 8), 2, seed)
+	case "cls":
+		features := orDefault(n, 6)
+		return CLS(features, features+2, orDefault(k, 3), seed)
+	case "mkp":
+		return MkP(orDefault(n, 7), orDefault(k, 3), seed)
+	}
+	return nil
+}
+
+// orDefault is v when set (positive), else def.
+func orDefault(v, def int) int {
+	if v > 0 {
+		return v
+	}
+	return def
+}

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -130,12 +132,46 @@ func TestHistogramQuantile(t *testing.T) {
 	h.Observe(7)
 	h.Observe(50)
 	near(h.Quantile(0.50), 10)   // rank 1 fills the first bucket exactly
-	near(h.Quantile(0.95), 91)   // interpolated inside (10,100]
-	near(h.Quantile(0.99), 98.2) // deeper into the same bucket
+	near(h.Quantile(0.95), 46)   // interpolated inside (10,50], the bucket cut at the maximum
+	near(h.Quantile(0.99), 49.2) // deeper into the same bucket
 
 	over := reg.Histogram("over", []float64{10})
 	over.Observe(20)
-	near(over.Quantile(0.5), 10) // overflow bucket saturates at the top bound
+	near(over.Quantile(0.5), 20) // the overflow bucket ends at the maximum
+
+	one := reg.Histogram("one", []float64{100, 1000})
+	one.Observe(233)
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		near(one.Quantile(q), 233) // a single sample is reported exactly
+	}
+}
+
+// TestHistogramQuantilesInsideData is the property min ≤ p50 ≤ p95 ≤
+// p99 ≤ max over random sample sets, bucket layouts and scales.
+func TestHistogramQuantilesInsideData(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	reg := NewRegistry()
+	for trial := 0; trial < 500; trial++ {
+		bounds := []float64{}
+		for b := rng.Float64(); len(bounds) < 1+rng.Intn(8); b *= 2 + 8*rng.Float64() {
+			bounds = append(bounds, b)
+		}
+		h := reg.Histogram(fmt.Sprintf("h%d", trial), bounds)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		scale := math.Pow(10, float64(rng.Intn(7)-3))
+		for n := 1 + rng.Intn(40); n > 0; n-- {
+			x := scale * rng.ExpFloat64()
+			if rng.Intn(4) == 0 {
+				x = -x
+			}
+			h.Observe(x)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
+		p50, p95, p99 := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99)
+		if !(lo <= p50 && p50 <= p95 && p95 <= p99 && p99 <= hi) {
+			t.Fatalf("trial %d (bounds %v): min %v p50 %v p95 %v p99 %v max %v", trial, bounds, lo, p50, p95, p99, hi)
+		}
+	}
 }
 
 func TestSnapshotHistogramQuantileKinds(t *testing.T) {

@@ -94,6 +94,8 @@ type Histogram struct {
 	counts []int64
 	n      int64
 	sum    float64
+	// min and max bound every quantile estimate (valid once n > 0).
+	min, max float64
 }
 
 // Observe records one sample.
@@ -104,6 +106,12 @@ func (h *Histogram) Observe(x float64) {
 	h.mu.Lock()
 	i := sort.SearchFloat64s(h.bounds, x)
 	h.counts[i]++
+	if h.n == 0 || x < h.min {
+		h.min = x
+	}
+	if h.n == 0 || x > h.max {
+		h.max = x
+	}
 	h.n++
 	h.sum += x
 	h.mu.Unlock()
@@ -131,10 +139,11 @@ func (h *Histogram) Sum() float64 {
 
 // Quantile estimates the q-quantile (0 < q < 1) of the observed samples
 // by linear interpolation inside the bucket holding the target rank —
-// the usual bucketed-histogram estimate, exact only at bucket edges.
-// Samples landing in the +Inf overflow bucket are reported as the
-// largest finite bound (the estimate saturates there). Returns 0 on the
-// nil or empty histogram.
+// the usual bucketed-histogram estimate — with the bucket's edges
+// narrowed to the observed minimum and maximum. The estimate therefore
+// never leaves the data: one sample is reported exactly, and the +Inf
+// overflow bucket spans the largest finite bound to the maximum.
+// Returns 0 on the nil or empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -152,17 +161,16 @@ func (h *Histogram) Quantile(q float64) float64 {
 		if float64(cum) < target || cnt == 0 {
 			continue
 		}
-		if i >= len(h.bounds) { // +Inf overflow bucket: no finite upper edge
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
+		lo, hi := h.min, h.max
 		if i > 0 {
-			lo = h.bounds[i-1]
+			lo = max(lo, h.bounds[i-1])
 		}
-		hi := h.bounds[i]
-		return lo + (hi-lo)*(target-float64(prev))/float64(cnt)
+		if i < len(h.bounds) {
+			hi = min(hi, h.bounds[i])
+		}
+		return min(hi, lo+(hi-lo)*(target-float64(prev))/float64(cnt))
 	}
-	return h.bounds[len(h.bounds)-1]
+	return h.max
 }
 
 // Metric is one snapshotted value for table rendering.

@@ -151,13 +151,23 @@ func TestCancelWhileQueued(t *testing.T) {
 
 func TestCancelMidSolve(t *testing.T) {
 	s := newBareServer(t, Config{MaxConcurrent: 1})
-	s.sched.solve = blockingSolve
+	solving := make(chan struct{})
+	s.sched.solve = func(app core.App, prob *scip.Prob, offset float64, cfg ug.Config) (*ug.Result, error) {
+		close(solving)
+		return blockingSolve(app, prob, offset, cfg)
+	}
 
 	j, err := s.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, StateRunning)
+	// Cancel once the solve runs: a job cancelled while it is still
+	// presolving (also StateRunning) ends without a result.
+	select {
+	case <-solving:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("solve never started (job %s)", j.State())
+	}
 	if _, ok := s.CancelJob(j.ID); !ok {
 		t.Fatal("CancelJob: job not found")
 	}

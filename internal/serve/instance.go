@@ -69,38 +69,9 @@ func buildSTP(sp *Spec) (string, core.App, error) {
 		if seed == 0 {
 			seed = 1
 		}
-		switch g.Family {
-		case "hc":
-			if g.Terminals > 0 {
-				spg = puc.HypercubeT(g.D, g.Terminals, g.Perturbed, seed)
-			} else {
-				spg = puc.Hypercube(g.D, g.Perturbed, seed)
-			}
-		case "cc":
-			t := g.Terminals
-			if t == 0 {
-				t = 8
-			}
-			a := g.A
-			if a == 0 {
-				a = 3
-			}
-			spg = puc.CodeCover(g.D, a, t, g.Perturbed, seed)
-		case "bip":
-			t := g.Terminals
-			if t == 0 {
-				t = 16
-			}
-			st := g.Steiner
-			if st == 0 {
-				st = 60
-			}
-			deg := g.Deg
-			if deg == 0 {
-				deg = 3
-			}
-			spg = puc.Bipartite(t, st, deg, g.Perturbed, seed)
-		default:
+		ps := puc.Spec(*g)
+		ps.Seed = seed
+		if spg = puc.Generate(ps); spg == nil {
 			return "", core.App{}, fmt.Errorf("unknown gen family %q (want hc, cc, bip)", g.Family)
 		}
 		canonical = fmt.Sprintf("gen\x00%s d=%d a=%d t=%d s=%d deg=%d p=%v seed=%d",
@@ -116,33 +87,8 @@ func buildMISDP(sp *Spec) (string, core.App, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	var inst *misdp.MISDP
-	switch sp.Family {
-	case "ttd":
-		bars := 8
-		if sp.N > 0 {
-			bars = sp.N
-		}
-		inst = testsets.TTD(4, bars, 2, seed)
-	case "cls":
-		features, k := 6, 3
-		if sp.N > 0 {
-			features = sp.N
-		}
-		if sp.K > 0 {
-			k = sp.K
-		}
-		inst = testsets.CLS(features, features+2, k, seed)
-	case "mkp":
-		verts, k := 7, 3
-		if sp.N > 0 {
-			verts = sp.N
-		}
-		if sp.K > 0 {
-			k = sp.K
-		}
-		inst = testsets.MkP(verts, k, seed)
-	default:
+	inst := testsets.Family(sp.Family, sp.N, sp.K, seed)
+	if inst == nil {
 		return "", core.App{}, fmt.Errorf("unknown misdp family %q (want ttd, cls, mkp)", sp.Family)
 	}
 	canonical := fmt.Sprintf("%s n=%d k=%d seed=%d", sp.Family, sp.N, sp.K, seed)

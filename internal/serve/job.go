@@ -60,7 +60,8 @@ func (s State) Terminal() bool {
 }
 
 // GenSpec selects a generated STP family by the same parameters
-// cmd/stpgen takes on its command line.
+// cmd/stpgen takes on its command line: the fields of puc.Spec, under
+// JSON names.
 type GenSpec struct {
 	Family    string `json:"family"`              // hc, cc, bip
 	D         int    `json:"d,omitempty"`         // dimension (hc, cc)
@@ -223,13 +224,21 @@ func (j *Job) Deadline() (time.Time, bool) {
 // transition moves the job to state to if the FSM allows it, returning
 // whether the move happened. Entering a terminal state closes done and
 // the job's bus (ending SSE streams); entering running stamps started.
-func (j *Job) transition(to State) bool {
+func (j *Job) transition(to State) bool { return j.transitionWithBundle(to, "") }
+
+// transitionWithBundle is transition that also attaches the forensics
+// bundle in bundleDir (when non-empty) under the same lock as the state
+// change.
+func (j *Job) transitionWithBundle(to State, bundleDir string) bool {
 	j.mu.Lock()
 	if !transitions[j.state][to] {
 		j.mu.Unlock()
 		return false
 	}
 	j.state = to
+	if bundleDir != "" {
+		j.bundleDir, j.bundleReason = bundleDir, string(to)
+	}
 	now := time.Now()
 	if to == StateRunning {
 		j.started = now
@@ -265,14 +274,6 @@ func (j *Job) Err() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// setBundle records where the job's forensics bundle landed.
-func (j *Job) setBundle(dir, reason string) {
-	j.mu.Lock()
-	j.bundleDir = dir
-	j.bundleReason = reason
-	j.mu.Unlock()
 }
 
 // BundleDir returns the job's forensics bundle directory ("" if none).

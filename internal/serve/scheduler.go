@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -128,10 +129,7 @@ func (s *scheduler) runJob(j *Job) {
 	default:
 	}
 	if dl, ok := j.Deadline(); ok && !time.Now().Before(dl) {
-		if j.transition(StateDeadline) {
-			s.countTerminal(StateDeadline)
-			s.captureJobBundle(j, StateDeadline)
-		}
+		s.finish(j, StateDeadline)
 		return
 	}
 	if !j.transition(StateRunning) {
@@ -173,17 +171,10 @@ func (s *scheduler) runJob(j *Job) {
 		}
 	}()
 
-	finish := func(st State) {
-		if j.transition(st) {
-			s.countTerminal(st)
-			s.captureJobBundle(j, st)
-		}
-	}
-
 	key, app, err := buildApp(&j.Spec)
 	if err != nil {
 		j.setErr(err.Error())
-		finish(StateFailed)
+		s.finish(j, StateFailed)
 		return
 	}
 
@@ -196,11 +187,11 @@ func (s *scheduler) runJob(j *Job) {
 		if err == errStopped {
 			// Cancel or deadline fired during presolve; the presolve
 			// itself keeps running and will serve later submissions.
-			finish(s.stoppedState(firedCause()))
+			s.finish(j, s.stoppedState(firedCause()))
 			return
 		}
 		j.setErr(fmt.Sprintf("presolve: %v", err))
-		finish(StateFailed)
+		s.finish(j, StateFailed)
 		return
 	}
 	cacheLabel := "miss"
@@ -236,7 +227,7 @@ func (s *scheduler) runJob(j *Job) {
 	_ = tracer.Close()
 	if err != nil {
 		j.setErr(fmt.Sprintf("solve: %v", err))
-		finish(StateFailed)
+		s.finish(j, StateFailed)
 		return
 	}
 
@@ -263,20 +254,34 @@ func (s *scheduler) runJob(j *Job) {
 	if st := firedCause(); st != "" && !res.Optimal && !res.Infeasible {
 		// The solve was interrupted by cancel or deadline (not by its
 		// own time limit): the interrupt wins the terminal state.
-		finish(s.stoppedState(st))
+		s.finish(j, s.stoppedState(st))
 		return
 	}
-	finish(StateDone)
+	s.finish(j, StateDone)
+}
+
+// finish moves j to the terminal state st. A failed or deadline job's
+// forensics bundle is written first and attached in the same locked
+// step as the state change, so no client ever reads the terminal state
+// without it. A bundle whose job lost a race to another terminal state
+// is removed again.
+func (s *scheduler) finish(j *Job, st State) {
+	dir := s.captureJobBundle(j, st)
+	if j.transitionWithBundle(st, dir) {
+		s.countTerminal(st)
+	} else if dir != "" {
+		_ = os.RemoveAll(dir)
+	}
 }
 
 // captureJobBundle writes a forensics bundle when a job fails or blows
 // its deadline: the job's flight-recorder tail plus process profiles,
-// in a per-job directory under debugDir. The bundle location is
-// attached to the job record, which surfaces it in the job JSON and
-// makes GET /v1/jobs/{id}/debug serve it.
-func (s *scheduler) captureJobBundle(j *Job, st State) {
+// in a per-job directory under debugDir. It returns the bundle
+// directory ("" when none was written); attached to the job record, it
+// surfaces in the job JSON and makes GET /v1/jobs/{id}/debug serve it.
+func (s *scheduler) captureJobBundle(j *Job, st State) string {
 	if s.debugDir == "" || (st != StateFailed && st != StateDeadline) {
-		return
+		return ""
 	}
 	bc := &obs.Capturer{
 		Dir:      filepath.Join(s.debugDir, j.ID),
@@ -288,9 +293,11 @@ func (s *scheduler) captureJobBundle(j *Job, st State) {
 			"name":  j.StatusView().Name,
 		},
 	}
-	if dir, err := bc.WriteBundle("job-"+string(st), j.Err()); err == nil && dir != "" {
-		j.setBundle(dir, string(st))
+	dir, err := bc.WriteBundle("job-"+string(st), j.Err())
+	if err != nil {
+		return ""
 	}
+	return dir
 }
 
 // stoppedState maps a recorded stop cause to the terminal state,

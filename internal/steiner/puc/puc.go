@@ -241,3 +241,47 @@ func Named(name string) *steiner.SPG {
 		return nil
 	}
 }
+
+// Spec selects a generated instance by stpgen's parameters: the family
+// (hc, cc or bip), the dimension D (hc, cc), the alphabet size A (cc),
+// the terminal count (cc, bip, and hc when set), the Steiner-side size
+// and terminal degree (bip), the cost variant and the seed. Unset
+// (zero) A, Terminals, Steiner and Deg take the family defaults: an
+// alphabet of 3, 8 terminals for cc and 16 for bip, 60 Steiner vertices
+// and degree 3; an hc instance without Terminals uses the even-parity
+// terminal set.
+type Spec struct {
+	Family    string
+	D         int
+	A         int
+	Terminals int
+	Steiner   int
+	Deg       int
+	Perturbed bool
+	Seed      int64
+}
+
+// Generate builds the instance sp selects, or returns nil for an
+// unknown family.
+func Generate(sp Spec) *steiner.SPG {
+	switch sp.Family {
+	case "hc":
+		if sp.Terminals > 0 {
+			return HypercubeT(sp.D, sp.Terminals, sp.Perturbed, sp.Seed)
+		}
+		return Hypercube(sp.D, sp.Perturbed, sp.Seed)
+	case "cc":
+		return CodeCover(sp.D, orDefault(sp.A, 3), orDefault(sp.Terminals, 8), sp.Perturbed, sp.Seed)
+	case "bip":
+		return Bipartite(orDefault(sp.Terminals, 16), orDefault(sp.Steiner, 60), orDefault(sp.Deg, 3), sp.Perturbed, sp.Seed)
+	}
+	return nil
+}
+
+// orDefault is v when set (positive), else def.
+func orDefault(v, def int) int {
+	if v > 0 {
+		return v
+	}
+	return def
+}
